@@ -270,3 +270,38 @@ func TestLoadOpenSmoke(t *testing.T) {
 		}
 	}
 }
+
+func TestServeSmoke(t *testing.T) {
+	var buf bytes.Buffer
+	o := tinyOptions(&buf)
+	o.ServeClients = []int{1, 2}
+	o.ServeRequests = 12
+	o.ServeIngestRate = 2000
+	if err := Serve(o); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"Online serving load test", "clients", "qps", "hit%", "snaps", "off", "2048"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("serve output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestLoadHTTPShardSweepSmoke(t *testing.T) {
+	var buf bytes.Buffer
+	o := tinyOptions(&buf)
+	o.ServeShards = []int{1, 2}
+	o.ServeClients = []int{2}
+	o.ServeRequests = 12
+	o.ServeIngestRate = 2000
+	if err := LoadHTTP(o); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"shards=1", "shards=2", "shard 0:", "shard 1:", "fleet: teed="} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("shard sweep output missing %q:\n%s", want, out)
+		}
+	}
+}

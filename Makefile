@@ -37,7 +37,8 @@ bench-full:
 serve:
 	$(GO) run ./cmd/taser-serve -dataset wikipedia -scale 0.1 -epochs 2 -addr :8080 $(if $(WAL_DIR),-wal-dir $(WAL_DIR))
 
-# Closed-loop load test of the serving subsystem (in-process, no HTTP):
+# Closed-loop load test of the serving subsystem: the load generator
+# (internal/bench/loadgen.go) against an in-process engine, no HTTP —
 # Zipfian request mix + streaming ingest; reports p50/p99, QPS, hit rate.
 loadtest:
 	$(GO) run ./cmd/taser-bench -exp serve -scale 0.05
@@ -82,11 +83,13 @@ bench-recover:
 bench-replicate:
 	$(GO) run ./cmd/taser-bench -exp replicate
 
-# Overload: open-loop (constant-arrival-rate) burst against a static engine
-# vs one running the SLO controller + admission gate (DESIGN.md §14). The
-# first run offers 2× the calibrated sustainable rate (the collapse-vs-SLO
-# comparison); the second forces the shed path with a far-offered rate and a
-# tiny queue so 429 + Retry-After accounting is exercised (EXPERIMENTS.md).
+# Overload: the load generator's open-loop (constant-arrival-rate) timeline,
+# over HTTP, against a static engine vs one running the SLO controller +
+# admission gate (DESIGN.md §14). Calibration uses the timeline's own
+# 80/20 predict/embed mix. The first run offers 2× the calibrated
+# sustainable rate (the collapse-vs-SLO comparison); the second forces the
+# shed path with a far-offered rate and a tiny queue so 429 + Retry-After
+# accounting is exercised (EXPERIMENTS.md).
 bench-overload:
 	$(GO) run ./cmd/taser-bench -exp loadhttp -open
 	$(GO) run ./cmd/taser-bench -exp loadhttp -open -open-rate 10000 -open-queue 4
@@ -109,15 +112,17 @@ repl-smoke:
 shard-smoke:
 	bash scripts/shard_smoke.sh
 
-# Shard-count sweep of the HTTP load test: one self-hosted GraphMixer fleet
-# per K, per-shard throughput from /v1/stats shards[] (DESIGN.md §12,
-# EXPERIMENTS.md for the recorded 1-CPU run).
+# Shard-count sweep: the load generator's closed-loop HTTP rows against one
+# self-hosted GraphMixer fleet per K, per-shard throughput from /v1/stats
+# shards[] (DESIGN.md §12, EXPERIMENTS.md for the recorded 1-CPU run).
 bench-shards:
 	$(GO) run ./cmd/taser-bench -exp loadhttp -shards 1,2,4
 
 # HTTP-mode load test: build taser-serve and taser-bench, start a real server
-# (short pretraining at small scale), drive /v1/ingest + /v1/predict +
-# /v1/embed over HTTP with closed-loop clients, then shut the server down.
+# (short pretraining at small scale), point the load generator's HTTP target
+# at it (-serve-addr) to drive /v1/ingest + /v1/predict + /v1/embed with
+# closed-loop clients, then shut the server down; exits with the bench's
+# status.
 loadtest-http:
 	$(GO) build -o /tmp/taser-serve ./cmd/taser-serve
 	$(GO) build -o /tmp/taser-bench ./cmd/taser-bench

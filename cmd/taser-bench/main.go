@@ -9,7 +9,8 @@
 //
 // Experiments: table1, table2, table3, fig1, fig3a, fig3b, fig4,
 // ablation-encoder, ablation-decoder, ablation-cache, pipeline, serve,
-// ingest, alloc, finetune, recover, replicate, all.
+// ingest, alloc, kernels, finetune, recover, replicate, all; and loadhttp,
+// which `all` skips. serve and loadhttp share one load generator.
 package main
 
 import (
@@ -32,9 +33,9 @@ func main() {
 		seed       = flag.Uint64("seed", 42, "random seed")
 		evalEdges  = flag.Int("eval-edges", 300, "max edges per MRR evaluation")
 		dsNames    = flag.String("datasets", "", "comma-separated dataset subset (default: experiment's own)")
-		srvClients = flag.String("serve-clients", "", "serve: comma-separated client counts (default 1,4,16)")
-		srvReqs    = flag.Int("serve-requests", 0, "serve: requests per client (default 200)")
-		srvIngest  = flag.Float64("serve-ingest", 0, "serve: ingest rate, events/sec (default 2000)")
+		srvClients = flag.String("serve-clients", "", "serve, loadhttp: load generator's closed-loop client counts, one row each (default 1,4,16; 8 with -shards)")
+		srvReqs    = flag.Int("serve-requests", 0, "serve, loadhttp: load generator's requests per closed-loop client (default 200)")
+		srvIngest  = flag.Float64("serve-ingest", 0, "serve, loadhttp: load generator's ingest rate, events/sec (default 2000 in process, 500 over HTTP)")
 		ingEvents  = flag.String("ingest-events", "", "ingest: comma-separated stream lengths (default 8192,16384,32768,65536)")
 		ingEvery   = flag.Int("ingest-every", 0, "ingest: events per snapshot publication (default 256)")
 		ingNodes   = flag.Int("ingest-nodes", 0, "ingest: node-id space of the synthetic stream (default 2000)")
@@ -46,10 +47,10 @@ func main() {
 		ftNegs     = flag.Int("finetune-negs", 0, "finetune: negatives per prequential MRR eval (default 19)")
 		ftLR       = flag.Float64("finetune-lr", 0, "finetune: fine-tuning learning rate (default 3e-4)")
 		ftPasses   = flag.Int("finetune-passes", 0, "finetune: replay passes per round (default 4)")
-		srvAddr    = flag.String("serve-addr", "", "loadhttp: base URL of a live taser-serve (empty = self-host in process)")
+		srvAddr    = flag.String("serve-addr", "", "loadhttp: base URL of a live taser-serve for the load generator to drive (empty = self-host in process)")
 		srvWait    = flag.Duration("serve-wait", 0, "loadhttp: readiness-poll budget for an external server (default 120s)")
 		srvShards  = flag.String("shards", "", "loadhttp: comma-separated shard counts to sweep (self-hosts a K-shard fleet per entry, e.g. 1,2,4)")
-		openLoop   = flag.Bool("open", false, "loadhttp: open-loop overload experiment (static vs adaptive engine, constant-arrival burst)")
+		openLoop   = flag.Bool("open", false, "loadhttp: open-loop overload experiment (the load generator's constant-arrival timeline against a static vs an adaptive engine)")
 		openRate   = flag.Float64("open-rate", 0, "loadhttp -open: offered burst rate, req/sec (default 2× the calibrated sustainable rate)")
 		openDur    = flag.Duration("open-duration", 0, "loadhttp -open: per-phase duration (default 3s)")
 		openSLO    = flag.Duration("open-slo", 0, "loadhttp -open: adaptive engine's p99 target (default 25ms)")

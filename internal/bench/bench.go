@@ -37,8 +37,10 @@ type Options struct {
 	// default set).
 	Datasets []string
 
-	// Serving load-test knobs (-exp serve); zero values pick the defaults
-	// documented in Serve.
+	// Load-generator closed-loop knobs (-exp serve, and -exp loadhttp's
+	// closed-loop rows); zero values pick the defaults: 1,4,16 clients (8
+	// with ServeShards), 200 requests, 2000 ev/s in process and 500 over
+	// HTTP.
 	ServeClients    []int   // concurrent closed-loop clients per row
 	ServeRequests   int     // requests per client
 	ServeIngestRate float64 // ingest writer rate, events/sec
@@ -79,11 +81,12 @@ type Options struct {
 	// with ServeAddr.
 	ServeShards []int
 
-	// OpenLoop switches loadhttp into the open-loop overload experiment: a
-	// constant-arrival-rate timeline (baseline → 2×-sustainable burst →
-	// recovery) driven against a static engine and an engine with the
-	// overload control plane, with per-second offered/completed/shed
-	// accounting (see loadopen.go). Incompatible with ServeAddr/ServeShards.
+	// OpenLoop switches loadhttp into the open-loop overload experiment: the
+	// load generator's constant-arrival-rate timeline (baseline →
+	// 2×-sustainable burst → recovery; see openLoop in loadgen.go) driven
+	// against a static engine and an engine with the overload control plane,
+	// with per-second offered/completed/shed accounting. Incompatible with
+	// ServeAddr/ServeShards.
 	OpenLoop     bool
 	OpenRate     float64       // offered burst rate, req/sec (0 = 2× the calibrated sustainable rate)
 	OpenDuration time.Duration // per-phase duration (default 3s)

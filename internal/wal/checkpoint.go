@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -35,6 +36,11 @@ type Checkpoint struct {
 	HasWatermark bool
 	Weights      *models.WeightSet // nil = no weights published at capture time
 }
+
+// ErrCorruptCheckpoint marks checkpoint bytes that fail validation: torn,
+// bit-flipped, or claiming lengths the file does not hold. Recovery skips
+// such a file; a follower refuses a shipped one.
+var ErrCorruptCheckpoint = errors.New("wal: corrupt checkpoint")
 
 const (
 	ckptMagic   = 0x504B4354 // "TCKP"
@@ -113,20 +119,32 @@ func (c *Checkpoint) encode() ([]byte, error) {
 // readSection verifies and returns the next section's payload.
 func readSection(data []byte, off int) (payload []byte, next int, err error) {
 	if off+8 > len(data) {
-		return nil, 0, fmt.Errorf("wal: checkpoint truncated at section header")
+		return nil, 0, fmt.Errorf("%w: truncated at section header", ErrCorruptCheckpoint)
 	}
 	n := binary.LittleEndian.Uint64(data[off:])
 	off += 8
-	if uint64(len(data)-off) < n+4 {
-		return nil, 0, fmt.Errorf("wal: checkpoint truncated inside section")
+	// Compare against what remains rather than computing n+4, which wraps
+	// for a corrupt n near 2^64.
+	if rest := uint64(len(data) - off); rest < 4 || n > rest-4 {
+		return nil, 0, fmt.Errorf("%w: truncated inside section", ErrCorruptCheckpoint)
 	}
 	payload = data[off : off+int(n)]
 	off += int(n)
 	want := binary.LittleEndian.Uint32(data[off:])
 	if crc32.Checksum(payload, crcTable) != want {
-		return nil, 0, fmt.Errorf("wal: checkpoint section checksum mismatch")
+		return nil, 0, fmt.Errorf("%w: section checksum mismatch", ErrCorruptCheckpoint)
 	}
 	return payload, off + 4, nil
+}
+
+// holds reports whether a section of size bytes holds exactly count items
+// of width bytes. It divides rather than multiplies: a corrupt manifest's
+// count can make count*width overflow to a matching size.
+func holds(size int, count, width uint64) bool {
+	if width == 0 {
+		return size == 0
+	}
+	return uint64(size)%width == 0 && uint64(size)/width == count
 }
 
 // DecodeCheckpoint parses and validates a checkpoint file's bytes — the
@@ -139,7 +157,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return decodeCheckpoin
 // decodeCheckpoint parses and validates a checkpoint file's bytes.
 func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if len(data) < 8 || binary.LittleEndian.Uint32(data) != ckptMagic {
-		return nil, fmt.Errorf("wal: not a checkpoint file")
+		return nil, fmt.Errorf("%w: not a checkpoint file", ErrCorruptCheckpoint)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != ckptVersion {
 		return nil, fmt.Errorf("wal: unsupported checkpoint version %d", v)
@@ -149,23 +167,24 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, err
 	}
 	if len(man) != 29 {
-		return nil, fmt.Errorf("wal: checkpoint manifest is %d bytes, want 29", len(man))
+		return nil, fmt.Errorf("%w: manifest is %d bytes, want 29", ErrCorruptCheckpoint, len(man))
 	}
 	c := &Checkpoint{
 		Watermark:    math.Float64frombits(binary.LittleEndian.Uint64(man[8:])),
 		HasWatermark: man[16] == 1,
 		EdgeDim:      int(binary.LittleEndian.Uint32(man[17:])),
 	}
-	n := int(binary.LittleEndian.Uint64(man[0:]))
+	nEvents := binary.LittleEndian.Uint64(man[0:])
 	wv := binary.LittleEndian.Uint64(man[21:])
 
 	evs, off, err := readSection(data, off)
 	if err != nil {
 		return nil, err
 	}
-	if len(evs) != 16*n {
-		return nil, fmt.Errorf("wal: checkpoint event section is %d bytes for %d events", len(evs), n)
+	if !holds(len(evs), nEvents, 16) {
+		return nil, fmt.Errorf("%w: event section is %d bytes for %d events", ErrCorruptCheckpoint, len(evs), nEvents)
 	}
+	n := len(evs) / 16
 	c.Events = make([]tgraph.Event, n)
 	for i := range c.Events {
 		c.Events[i] = tgraph.Event{
@@ -179,10 +198,10 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(feats) != 8*n*c.EdgeDim {
-		return nil, fmt.Errorf("wal: checkpoint feature section is %d bytes for %d×%d", len(feats), n, c.EdgeDim)
+	if !holds(len(feats), uint64(n), 8*uint64(c.EdgeDim)) {
+		return nil, fmt.Errorf("%w: feature section is %d bytes for %d×%d", ErrCorruptCheckpoint, len(feats), n, c.EdgeDim)
 	}
-	c.Feats = make([]float64, n*c.EdgeDim)
+	c.Feats = make([]float64, len(feats)/8)
 	for i := range c.Feats {
 		c.Feats[i] = math.Float64frombits(binary.LittleEndian.Uint64(feats[8*i:]))
 	}

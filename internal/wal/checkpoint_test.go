@@ -1,6 +1,9 @@
 package wal
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -212,4 +215,59 @@ func TestShortReadCheckpointLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameCheckpoint(t, got, ck)
+}
+
+// TestDecodeCheckpointHugeSectionLength: a section length within 4 of 2^64
+// used to wrap the truncation check and panic slicing the payload; it must
+// be reported as corruption.
+func TestDecodeCheckpointHugeSectionLength(t *testing.T) {
+	for _, n := range []uint64{math.MaxUint64 - 3, math.MaxUint64} {
+		for _, tail := range []int{0, 4} {
+			data := binary.LittleEndian.AppendUint32(nil, ckptMagic)
+			data = binary.LittleEndian.AppendUint32(data, ckptVersion)
+			data = binary.LittleEndian.AppendUint64(data, n)
+			data = append(data, make([]byte, tail)...)
+			if _, err := DecodeCheckpoint(data); !errors.Is(err, ErrCorruptCheckpoint) {
+				t.Fatalf("section length %d, %d trailing bytes: err = %v, want ErrCorruptCheckpoint", n, tail, err)
+			}
+		}
+	}
+}
+
+// TestDecodeCheckpointHugeEventCount: a checksum-valid manifest claiming 2^60
+// events over empty sections used to wrap 16*n (and 8*n*EdgeDim) to 0 and
+// panic allocating the events; it must be reported as corruption, and local
+// recovery must skip the file for the previous checkpoint.
+func TestDecodeCheckpointHugeEventCount(t *testing.T) {
+	dir := t.TempDir()
+	old := testCheckpoint(10, 2, 1)
+	if err := WriteCheckpoint(OSFS{}, dir, old); err != nil {
+		t.Fatal(err)
+	}
+	for _, edgeDim := range []uint32{0, 2} {
+		data := binary.LittleEndian.AppendUint32(nil, ckptMagic)
+		data = binary.LittleEndian.AppendUint32(data, ckptVersion)
+		data, start := beginSection(data)
+		data = binary.LittleEndian.AppendUint64(data, 1<<60) // events
+		data = binary.LittleEndian.AppendUint64(data, 0)     // watermark
+		data = append(data, 1)
+		data = binary.LittleEndian.AppendUint32(data, edgeDim)
+		data = binary.LittleEndian.AppendUint64(data, 0) // weight version
+		data = endSection(data, start)
+		for range 2 { // empty event and feature sections
+			data, start = beginSection(data)
+			data = endSection(data, start)
+		}
+		if _, err := DecodeCheckpoint(data); !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Fatalf("edge dim %d: err = %v, want ErrCorruptCheckpoint", edgeDim, err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, checkpointName(99, 0)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LatestCheckpoint(OSFS{}, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCheckpoint(t, got, old)
+	}
 }

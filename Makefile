@@ -55,8 +55,7 @@ bench-alloc:
 	$(GO) run ./cmd/taser-bench -exp alloc
 
 # Raw-speed floor: blocked vs seed MatMul kernels on the model shapes
-# (ns/op, GFLOP/s), the dense/sparse density crossover, and the quantized
-# serving path's footprint, latency and MRR delta (see DESIGN.md §13).
+# (ns/op, GFLOP/s) and the dense/sparse density crossover (see DESIGN.md §13).
 bench-kernels:
 	$(GO) run ./cmd/taser-bench -exp kernels
 

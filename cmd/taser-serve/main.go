@@ -33,9 +33,12 @@
 // that differs), prediction scatter/gathers across shards when the endpoints
 // hash apart, and -wal-dir gives every shard its own store directory
 // (<dir>/shard-0..K-1) with independent recovery. /v1/stats reports merged
-// totals plus a per-shard block each. Sharding excludes -replicate-from,
-// -repl-listen, -promote and -finetune (single-engine features; DESIGN.md §12
-// explains how they compose per-shard later).
+// totals plus a per-shard block each. -shards only picks the backend (one
+// serve.Engine, or a serve.Fleet of K), the recovery report and the shutdown
+// summary: recovery, bootstrap, replay, the HTTP listener and the drain on
+// SIGINT/SIGTERM are one flow over both. Sharding excludes -replicate-from,
+// -repl-listen, -promote and -finetune, which attach to a single engine
+// (DESIGN.md §12 explains how they compose per-shard later).
 //
 // Replication (internal/replica): a durable node serves its WAL to read
 // replicas under /v1/repl/ (or on a dedicated -repl-listen address). A node
@@ -60,11 +63,12 @@ import (
 
 	"taser/internal/datasets"
 	"taser/internal/finetune"
-	"taser/internal/models"
 	"taser/internal/overload"
 	"taser/internal/replica"
 	"taser/internal/sampler"
 	"taser/internal/serve"
+	"taser/internal/tensor"
+	"taser/internal/tgraph"
 	"taser/internal/train"
 )
 
@@ -86,7 +90,6 @@ func main() {
 		snapEvery = flag.Int("snapshot-every", 256, "publish a snapshot every k ingested events")
 		latWindow = flag.Int("latency-window", 0, "request latencies retained for P50/P99 stats (0 = default 4096)")
 		replay    = flag.Bool("replay", false, "replay the val/test split through ingest at startup")
-		quant     = flag.String("quant", "none", "serving weight quantization: none|f32|int8 (fine-tuning keeps f64 masters)")
 
 		walDir    = flag.String("wal-dir", "", "durable store directory: WAL + checkpoints (empty = durability off)")
 		walSync   = flag.Int("wal-sync-every", 0, "events per WAL group commit (0 = serve default 64; 1 = fsync every event)")
@@ -119,19 +122,12 @@ func main() {
 		sloP99: *sloP99, ovInterval: *ovInterval,
 		maxQueue: *maxQueue, ovCap: *ovCap,
 	}, explicit); err != nil {
-		fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
-		os.Exit(2)
-	}
-	quantMode, err := models.ParseQuantization(*quant)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
-		os.Exit(2)
+		fatal(2, "%v", err)
 	}
 
 	ds, ok := datasets.ByName(*dataset, *scale, *seed)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "taser-serve: unknown dataset %q\n", *dataset)
-		os.Exit(2)
+		fatal(2, "unknown dataset %q", *dataset)
 	}
 	fmt.Println(ds)
 
@@ -140,8 +136,7 @@ func main() {
 		Hidden: *hidden, BatchSize: *batch, Epochs: *epochs, N: *n, Seed: *seed,
 	}, ds)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
-		os.Exit(1)
+		fatal(1, "%v", err)
 	}
 	for e := 0; e < *epochs; e++ {
 		res := tr.TrainEpoch()
@@ -157,19 +152,27 @@ func main() {
 		FinetuneInterval: *ftInterval, ReplayWindow: *ftWindow,
 		Durability: serve.Durability{Dir: *walDir, SyncEvery: *walSync, CheckpointEvery: *ckptEvery},
 		Overload:   overload.Config{TargetP99: *sloP99, Interval: *ovInterval, MaxQueue: *maxQueue, Capacity: *ovCap},
-		Quantize:   quantMode,
 		Seed:       *seed,
 	}
+	// -shards picks the backend; everything below runs over the plane
+	// interface. The follower, fine-tuner and leader endpoints wrap a single
+	// engine, so they attach only at K=1 (validateFlags rejects them for K>1).
+	var (
+		p      plane
+		engine *serve.Engine
+	)
 	if *shards > 1 {
-		// The sharded plane has its own serving loop: per-shard WAL dirs,
-		// aggregate recovery, no replication/fine-tuning (validated above).
-		runFleet(cfg, ds, *shards, *addr, *walDir, *doRecover, *replay)
-		return
-	}
-	engine, err := serve.New(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
-		os.Exit(1)
+		fleet, err := serve.NewFleet(serve.FleetConfig{Config: cfg, Shards: *shards})
+		if err != nil {
+			fatal(1, "%v", err)
+		}
+		fmt.Printf("sharded plane: %d engines on a consistent-hash ring (vnodes=%d/shard)\n", *shards, serve.DefaultVNodes)
+		p = sharded{fleet}
+	} else {
+		if engine, err = serve.New(cfg); err != nil {
+			fatal(1, "%v", err)
+		}
+		p = single{engine}
 	}
 
 	// Recover the stream from the durable store when one exists; otherwise
@@ -179,27 +182,19 @@ func main() {
 	// so re-bootstrapping would double-ingest it.
 	recovered := false
 	if *walDir != "" && *doRecover {
-		rep, err := engine.Recover()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "taser-serve: recover: %v\n", err)
-			os.Exit(1)
+		if recovered, err = p.recoverStore(); err != nil {
+			fatal(1, "recover: %v", err)
 		}
-		if rep.HasWatermark {
-			recovered = true
-			fmt.Printf("recovered %d events (checkpoint %d + replay %d, healed %d) to watermark t=%v, weights v%d in %v\n",
-				rep.CheckpointEvents+rep.ReplayedEvents, rep.CheckpointEvents, rep.ReplayedEvents,
-				rep.HealedEvents, rep.Watermark, rep.WeightVersion, rep.Duration.Round(time.Millisecond))
-		} else {
+		if !recovered {
 			fmt.Printf("durable store %s is empty: fresh start\n", *walDir)
 		}
 	}
 	feats := ds.EdgeFeat
 	if !recovered && *replFrom == "" {
-		if err := engine.Bootstrap(ds.Graph.Events[:ds.TrainEnd], feats.SliceRows(ds.TrainEnd)); err != nil {
-			fmt.Fprintf(os.Stderr, "taser-serve: bootstrap: %v\n", err)
-			os.Exit(1)
+		if err := p.Bootstrap(ds.Graph.Events[:ds.TrainEnd], feats.SliceRows(ds.TrainEnd)); err != nil {
+			fatal(1, "bootstrap: %v", err)
 		}
-		wm, _ := engine.Watermark()
+		wm, _ := p.Watermark()
 		fmt.Printf("bootstrapped %d events (watermark t=%v)\n", ds.TrainEnd, wm)
 	}
 	if *replay && !recovered {
@@ -209,13 +204,12 @@ func main() {
 			if feats.Cols > 0 {
 				row = feats.Row(i)
 			}
-			if err := engine.Ingest(ev.Src, ev.Dst, ev.Time, row); err != nil {
-				fmt.Fprintf(os.Stderr, "taser-serve: replay: %v\n", err)
-				os.Exit(1)
+			if err := p.Ingest(ev.Src, ev.Dst, ev.Time, row); err != nil {
+				fatal(1, "replay: %v", err)
 			}
 		}
-		engine.PublishSnapshot() // serve the replayed tail immediately
-		wm, _ := engine.Watermark()
+		p.PublishSnapshot() // serve the replayed tail immediately
+		wm, _ := p.Watermark()
 		fmt.Printf("replayed to watermark t=%v\n", wm)
 	}
 
@@ -230,8 +224,7 @@ func main() {
 			FailoverAfter: *failover, LagThreshold: *lagBound,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "taser-serve: replicate: %v\n", err)
-			os.Exit(1)
+			fatal(1, "replicate: %v", err)
 		}
 		st := follower.Status()
 		fmt.Printf("replicating from %s: %d events applied at start (leader synced %d)\n",
@@ -252,17 +245,17 @@ func main() {
 			LR: *ftLR, Seed: *seed,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "taser-serve: finetune: %v\n", err)
-			os.Exit(1)
+			fatal(1, "finetune: %v", err)
 		}
 		tuner.Start()
 		fmt.Println("online fine-tuner attached (weights publish lock-free into serving)")
 	}
 
 	// Serve until SIGINT/SIGTERM, then drain: stop accepting connections,
-	// finish in-flight handlers, and only then close the tuner and engine so
-	// every accepted micro-batch is served. A bare http.ListenAndServe would
-	// block until process kill and the deferred closes would never run.
+	// finish in-flight handlers, and only then close the attachments and the
+	// plane so every accepted micro-batch is served. A bare
+	// http.ListenAndServe would block until process kill and the closes
+	// would never run.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	hc := serve.HandlerConfig{}
@@ -272,7 +265,7 @@ func main() {
 		hc.Health = follower.Healthy
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/", serve.NewHandlerConfig(engine, hc))
+	mux.Handle("/", serve.NewHandlerConfig(p, hc))
 	if follower != nil {
 		mux.HandleFunc("POST /v1/repl/promote", func(w http.ResponseWriter, r *http.Request) {
 			follower.Promote()
@@ -281,16 +274,15 @@ func main() {
 		})
 	}
 	var replSrv *http.Server
-	if *walDir != "" {
+	if engine != nil && *walDir != "" {
 		// A durable node is a shippable log: mount the leader endpoints so
 		// replicas (and, after a promotion, the demoted ex-leader) can tail it.
 		leader, err := replica.NewLeader(engine)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
-			os.Exit(1)
+			fatal(1, "%v", err)
 		}
 		if *replListen != "" {
-			replSrv = &http.Server{Addr: *replListen, Handler: leader.Handler()}
+			replSrv = newServer(*replListen, leader.Handler())
 			go func() {
 				if err := replSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 					fmt.Fprintf(os.Stderr, "taser-serve: repl listener: %v\n", err)
@@ -301,7 +293,7 @@ func main() {
 			mux.Handle("GET /v1/repl/", leader.Handler())
 		}
 	}
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := newServer(*addr, mux)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Printf("serving on %s\n", *addr)
@@ -325,22 +317,17 @@ func main() {
 				fmt.Fprintf(os.Stderr, "taser-serve: fine-tuner stopped early: %s\n", st.Failed)
 			}
 		}
-		engine.Close() // flushes the WAL and writes the final checkpoint
-		if st := engine.Stats(); st.Durable {
-			fmt.Printf("durable store: %d events logged (%d synced, %d fsync batches, %d segments), %d checkpoints (last covers %d events, %d failed)\n",
-				st.WALAppended, st.WALSynced, st.WALSyncs, st.WALSegments,
-				st.Checkpoints, st.CheckpointEvents, st.CheckpointFails)
-		}
+		p.Close() // drains in-flight ops, flushes the WAL and writes the final checkpoint(s)
+		p.summary()
 	}
 	select {
 	case err := <-errc: // listener failed before any signal
 		shutdown()
-		fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
-		os.Exit(1)
+		fatal(1, "%v", err)
 	case <-ctx.Done():
 	}
 	stop() // restore default signal handling: a second ^C kills immediately
-	fmt.Println("shutting down: draining HTTP connections, the fine-tuner and the engine")
+	fmt.Println("shutting down: draining HTTP connections, then the attachments and the serving plane")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
@@ -350,96 +337,89 @@ func main() {
 	fmt.Println("bye")
 }
 
-// runFleet is the sharded serving loop: K engines behind the consistent-hash
-// router, each with its own WAL directory under -wal-dir, served through the
-// same HTTP surface (the handler speaks serve.Server, which both the bare
-// engine and the fleet implement). Replication and fine-tuning are
-// single-engine features — validateFlags already rejected them for K>1.
-func runFleet(cfg serve.Config, ds *datasets.Dataset, shards int, addr, walDir string, doRecover, replay bool) {
-	fleet, err := serve.NewFleet(serve.FleetConfig{Config: cfg, Shards: shards})
+// Listener bounds shared by every http.Server taser-serve builds: a client
+// gets readHeaderTimeout to send its request headers, and an idle keep-alive
+// connection is closed after idleTimeout. There is no write timeout, so a
+// slow predict under load is answered rather than cut off.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
+// fatal prints a prefixed error and exits with code.
+func fatal(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "taser-serve: "+format+"\n", args...)
+	os.Exit(code)
+}
+
+// plane is the serving backend behind main's one flow: a bare *serve.Engine
+// at K=1 (single), a *serve.Fleet of K engines otherwise (sharded). Only the
+// recovery report and the shutdown summary differ between the two.
+type plane interface {
+	serve.Server
+	Bootstrap(events []tgraph.Event, feats *tensor.Matrix) error
+	PublishSnapshot()
+	Close()
+	// recoverStore recovers the durable store, prints its report and says
+	// whether the store held a stream.
+	recoverStore() (recovered bool, err error)
+	// summary prints the counters left after Close.
+	summary()
+}
+
+type single struct{ *serve.Engine }
+
+func (s single) PublishSnapshot() { s.Engine.PublishSnapshot() }
+
+func (s single) recoverStore() (bool, error) {
+	rep, err := s.Recover()
+	if err != nil || !rep.HasWatermark {
+		return false, err
+	}
+	fmt.Printf("recovered %d events (checkpoint %d + replay %d, healed %d) to watermark t=%v, weights v%d in %v\n",
+		rep.CheckpointEvents+rep.ReplayedEvents, rep.CheckpointEvents, rep.ReplayedEvents,
+		rep.HealedEvents, rep.Watermark, rep.WeightVersion, rep.Duration.Round(time.Millisecond))
+	return true, nil
+}
+
+func (s single) summary() {
+	if st := s.Stats(); st.Durable {
+		fmt.Printf("durable store: %d events logged (%d synced, %d fsync batches, %d segments), %d checkpoints (last covers %d events, %d failed)\n",
+			st.WALAppended, st.WALSynced, st.WALSyncs, st.WALSegments,
+			st.Checkpoints, st.CheckpointEvents, st.CheckpointFails)
+	}
+}
+
+type sharded struct{ *serve.Fleet }
+
+func (f sharded) recoverStore() (bool, error) {
+	rep, err := f.Recover()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
-		os.Exit(1)
+		return false, err
 	}
-	fmt.Printf("sharded plane: %d engines on a consistent-hash ring (vnodes=%d/shard)\n", shards, serve.DefaultVNodes)
+	if _, has := f.Watermark(); !has {
+		return false, nil
+	}
+	fmt.Printf("recovered %d distinct events (+%d teed copies) across %d shards, weights v%d in %v\n",
+		rep.Events, rep.Teed, f.NumShards(), rep.WeightVersion, rep.Duration.Round(time.Millisecond))
+	for i, sr := range rep.Shards {
+		fmt.Printf("  shard %d: checkpoint %d + replay %d (healed %d), watermark t=%v\n",
+			i, sr.CheckpointEvents, sr.ReplayedEvents, sr.HealedEvents, sr.Watermark)
+	}
+	return true, nil
+}
 
-	recovered := false
-	if walDir != "" && doRecover {
-		rep, err := fleet.Recover()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "taser-serve: recover: %v\n", err)
-			os.Exit(1)
-		}
-		if _, has := fleet.Watermark(); has {
-			recovered = true
-			fmt.Printf("recovered %d distinct events (+%d teed copies) across %d shards, weights v%d in %v\n",
-				rep.Events, rep.Teed, shards, rep.WeightVersion, rep.Duration.Round(time.Millisecond))
-			for i, sr := range rep.Shards {
-				fmt.Printf("  shard %d: checkpoint %d + replay %d (healed %d), watermark t=%v\n",
-					i, sr.CheckpointEvents, sr.ReplayedEvents, sr.HealedEvents, sr.Watermark)
-			}
-		} else {
-			fmt.Printf("durable store %s is empty: fresh start\n", walDir)
-		}
+func (f sharded) summary() {
+	st := f.Stats()
+	fmt.Printf("fleet: %d distinct events (+%d teed), %d requests (%d cross-shard, %d gather retries)\n",
+		st.Ingested, st.Teed, st.Requests, st.CrossShard, st.GatherRetries)
+	for i, ss := range st.Shards {
+		fmt.Printf("  shard %d: %d events, %d requests, snapshot v%d\n", i, ss.Events, ss.Requests, ss.SnapshotVersion)
 	}
-	feats := ds.EdgeFeat
-	if !recovered {
-		if err := fleet.Bootstrap(ds.Graph.Events[:ds.TrainEnd], feats.SliceRows(ds.TrainEnd)); err != nil {
-			fmt.Fprintf(os.Stderr, "taser-serve: bootstrap: %v\n", err)
-			os.Exit(1)
-		}
-		wm, _ := fleet.Watermark()
-		fmt.Printf("bootstrapped %d events (watermark t=%v)\n", ds.TrainEnd, wm)
-	}
-	if replay && !recovered {
-		for i := ds.TrainEnd; i < len(ds.Graph.Events); i++ {
-			ev := ds.Graph.Events[i]
-			var row []float64
-			if feats.Cols > 0 {
-				row = feats.Row(i)
-			}
-			if err := fleet.Ingest(ev.Src, ev.Dst, ev.Time, row); err != nil {
-				fmt.Fprintf(os.Stderr, "taser-serve: replay: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		fleet.PublishSnapshots()
-		wm, _ := fleet.Watermark()
-		fmt.Printf("replayed to watermark t=%v\n", wm)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	srv := &http.Server{Addr: addr, Handler: serve.NewHandler(fleet)}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Printf("serving on %s\n", addr)
-
-	shutdown := func() {
-		fleet.Close() // drains in-flight ops, then each shard checkpoints
-		st := fleet.Stats()
-		fmt.Printf("fleet: %d distinct events (+%d teed), %d requests (%d cross-shard, %d gather retries)\n",
-			st.Ingested, st.Teed, st.Requests, st.CrossShard, st.GatherRetries)
-		for i, ss := range st.Shards {
-			fmt.Printf("  shard %d: %d events, %d requests, snapshot v%d\n", i, ss.Events, ss.Requests, ss.SnapshotVersion)
-		}
-	}
-	select {
-	case err := <-errc:
-		shutdown()
-		fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Println("shutting down: draining HTTP connections and the fleet")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "taser-serve: shutdown: %v\n", err)
-	}
-	shutdown()
-	fmt.Println("bye")
 }
 
 // flagValues carries the parsed flag combination validateFlags reasons over

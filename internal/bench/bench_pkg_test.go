@@ -160,8 +160,8 @@ func TestAllocSmoke(t *testing.T) {
 }
 
 func TestKernelsSmoke(t *testing.T) {
-	// Gut the timing loops: the smoke test checks wiring and the quantized
-	// path end to end, not measurement quality.
+	// Gut the timing loops: the smoke test checks wiring, not measurement
+	// quality.
 	oldBudget, oldRounds := kernelTimeBudget, kernelTimeRounds
 	kernelTimeBudget, kernelTimeRounds = time.Millisecond, 1
 	defer func() { kernelTimeBudget, kernelTimeRounds = oldBudget, oldRounds }()
@@ -170,7 +170,7 @@ func TestKernelsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"Dense MatMul", "MatMulTransB", "Sparsity crossover", "Quantized serving", "int8"} {
+	for _, want := range []string{"Dense MatMul", "MatMulTransB", "Sparsity crossover"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("kernels output missing %q:\n%s", want, out)
 		}

@@ -421,10 +421,22 @@ func mergeOverload(dst, src *OverloadStats) *OverloadStats {
 	return dst
 }
 
-// decode parses the JSON body into dst, writing a 400 on failure.
+// maxBodyBytes bounds every request body. The largest legitimate body is an
+// ingest carrying an edge-feature row: ~5 KB for wikipedia's 172 features.
+const maxBodyBytes = 1 << 20
+
+// decode parses the JSON body into dst. A body over maxBodyBytes is answered
+// 413; malformed JSON or a field dst does not declare is answered 400.
 func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true

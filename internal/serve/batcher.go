@@ -98,6 +98,9 @@ func (e *Engine) submit(kind reqKind, src, dst int32, t float64) (response, erro
 	if src < 0 || int(src) >= e.cfg.NumNodes || (kind == reqPredict && (dst < 0 || int(dst) >= e.cfg.NumNodes)) {
 		return response{}, fmt.Errorf("serve: node id out of range [0, %d)", e.cfg.NumNodes)
 	}
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return response{}, fmt.Errorf("%w: t=%v", ErrInvalidTime, t)
+	}
 	start := time.Now() // before the gate: measured latency includes admission wait
 	if e.gate != nil {
 		if err := e.gate.Enter(overload.LanePredict); err != nil {

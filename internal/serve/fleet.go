@@ -487,9 +487,9 @@ func (f *Fleet) installRouterPred(w *models.WeightSet) error {
 	return nil
 }
 
-// PublishSnapshots forces an immediate snapshot publication on every shard
+// PublishSnapshot forces an immediate snapshot publication on every shard
 // (the fleet analogue of Engine.PublishSnapshot, e.g. after a bulk replay).
-func (f *Fleet) PublishSnapshots() {
+func (f *Fleet) PublishSnapshot() {
 	if err := f.enter(); err != nil {
 		return
 	}

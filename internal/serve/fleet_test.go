@@ -121,7 +121,7 @@ func TestFleetK1MatchesEngine(t *testing.T) {
 	}
 
 	eng.PublishSnapshot()
-	fl.PublishSnapshots()
+	fl.PublishSnapshot()
 	qt := ewm + 1
 	for i := 0; i < 30; i++ {
 		ev := events[i*len(events)/30]
@@ -290,7 +290,7 @@ func TestShardedPredictionsMatchSingleEngine(t *testing.T) {
 	}
 
 	eng.PublishSnapshot()
-	fl.PublishSnapshots()
+	fl.PublishSnapshot()
 	qt := ewm + 1
 	var cross, local int
 	for i := 0; i < len(events) && (cross < 15 || local < 15); i++ {

@@ -51,6 +51,10 @@ var ErrClosed = errors.New("serve: engine closed")
 // ErrStaleEvent wraps ingest rejections of events behind the watermark.
 var ErrStaleEvent = errors.New("serve: event behind ingest watermark")
 
+// ErrInvalidTime rejects a read whose query time is NaN or ±Inf: no temporal
+// neighborhood is defined at such a time. The HTTP layer answers it 400.
+var ErrInvalidTime = errors.New("serve: query time is not finite")
+
 // ErrReadOnly wraps write rejections of a read-only engine — a replica
 // follower, whose stream is owned by the replication loop (internal/replica)
 // tailing the leader's WAL. Clients should redirect the write to the leader;
@@ -95,13 +99,6 @@ type Config struct {
 	// is set (durability.go, DESIGN.md §9); the zero value serves purely
 	// in-memory.
 	Durability Durability
-
-	// Quantize selects the serving-side weight representation (DESIGN.md
-	// §13). Fine-tuners keep publishing float64 masters; with QuantF32 or
-	// QuantInt8 the engine stores (and checkpoints) a rounded clone of each
-	// publication, trading weight precision for footprint under an MRR error
-	// budget guarded by the serve tests. The zero value serves f64 unchanged.
-	Quantize models.Quantization
 
 	// Overload enables the overload control plane (internal/overload,
 	// DESIGN.md §14): TargetP99 attaches an SLO feedback controller to the
@@ -645,15 +642,6 @@ func (e *Engine) publishWeightsCore(w *models.WeightSet) error {
 	}
 	if err := w.Matches(e.cfg.Model, e.cfg.Pred); err != nil {
 		return fmt.Errorf("serve: published weights do not fit the serving model: %w", err)
-	}
-	// Quantize before storing, so the applied weights, PublishedWeights and
-	// every checkpoint all hold the same rounded clone. Recovery republishes
-	// checkpointed (already quantized) sets through this same path;
-	// quantization is bitwise-idempotent (models.Quantization.Clone), so a
-	// recovered engine serves exactly the weights it crashed with.
-	w, err := e.cfg.Quantize.Clone(w)
-	if err != nil {
-		return fmt.Errorf("serve: quantizing published weights: %w", err)
 	}
 	// CAS loop against the latest *published* set (which may be ahead of the
 	// applied version when no flush has run yet), so a slower publisher can

@@ -54,8 +54,9 @@ bench-ingest:
 bench-alloc:
 	$(GO) run ./cmd/taser-bench -exp alloc
 
-# Raw-speed floor: blocked vs seed MatMul kernels on the model shapes
-# (ns/op, GFLOP/s) and the dense/sparse density crossover (see DESIGN.md §13).
+# Raw-speed floor: the dispatching MatMul kernels vs the seed loops on the
+# traced train-tgat shapes (ns/op, GFLOP/s; each table names the path taken,
+# avx2 or scalar) and the dense/sparse density crossover (DESIGN.md §13).
 bench-kernels:
 	$(GO) run ./cmd/taser-bench -exp kernels
 

@@ -9,64 +9,73 @@ import (
 	"taser/internal/tensor"
 )
 
-// Kernels measures the raw-speed floor (DESIGN.md §13): the blocked,
-// bounds-check-free MatMul kernels against the seed's skip-based ikj loop on
-// the shapes the models actually push through them, and the density crossover
-// between the dense path and the explicit MatMulSparseAInto entry point.
-//
-// On the 1-CPU dev container the GFLOP rates are scalar-SSE2 single-core
-// numbers; speedups are the stable signal (EXPERIMENTS.md).
+// Kernels measures the raw-speed floor (DESIGN.md §13): the dispatching
+// MatMul kernels against the seed's plain loops on the shapes a traced
+// train-tgat run pushes through them, and the density crossover between
+// the dense path and the explicit MatMulSparseAInto entry point. Every
+// table header names the path the dispatch took on this host: "avx2" (the
+// 4×8 assembly micro-kernel) or "scalar".
 func Kernels(o Options) error {
 	o = o.Normalize()
-
-	// --- dense MatMul: seed reference loop vs dispatching kernel ---------
-	// The first three shapes are the per-batch projections a bench-profile
-	// TGAT/GraphMixer forward issues (batch·(budget+1) = 1504 and 304 token
-	// rows at Hidden=24, TimeDim=12, feat 38/48); the squares exercise the
-	// unpacked 4-row regime and the packed 2×4 blocked regime.
-	shapes := []struct {
+	path := tensor.MatMulPath()
+	type shape struct {
 		label   string
 		m, k, n int
-	}{
-		{"proj feat→hidden", 1504, 38, 24},
-		{"ffn hidden→2h", 1504, 24, 48},
-		{"ffn 2h→hidden", 304, 48, 24},
+	}
+
+	// --- dense MatMul: seed reference loop vs dispatching kernel ---------
+	// The traced train-tgat products: the adaptive sampler's mixer
+	// (11250 candidate rows × 73) and TGAT's projections (49500 token rows,
+	// 48 → 24), at their training and their EvalMRR row counts, plus the
+	// unpacked and packed square regimes.
+	rng := mathx.NewRNG(o.Seed)
+	fmt.Fprintf(o.Out, "Dense MatMul (path: %s): seed skip-loop vs dispatching kernel\n", path)
+	fmt.Fprintf(o.Out, "%-22s %-16s %12s %12s %9s %9s %8s\n",
+		"shape", "m×k×n", "ref ns/op", "new ns/op", "ref GF/s", "new GF/s", "speedup")
+	for _, s := range []shape{
+		{"mixer (train)", 11250, 73, 73},
+		{"tgat proj (train)", 49500, 48, 24},
+		{"tgat ffn (train)", 4500, 72, 24},
+		{"mixer (eval)", 26250, 73, 73},
+		{"tgat proj (eval)", 115500, 48, 24},
 		{"square dense-path", 256, 256, 256},
 		{"square blocked", 512, 512, 512},
-	}
-	rng := mathx.NewRNG(o.Seed)
-	fmt.Fprintf(o.Out, "Dense MatMul: seed skip-loop vs dispatching kernel\n")
-	fmt.Fprintf(o.Out, "%-20s %-16s %12s %12s %9s %9s %8s\n",
-		"shape", "m×k×n", "ref ns/op", "new ns/op", "ref GF/s", "new GF/s", "speedup")
-	for _, s := range shapes {
+	} {
 		a := tensor.Randn(s.m, s.k, 1, rng)
 		b := tensor.Randn(s.k, s.n, 1, rng)
 		dst := tensor.New(s.m, s.n)
 		refNs := timeOp(func() { matMulSeedRef(dst, a, b) })
 		newNs := timeOp(func() { tensor.MatMulInto(dst, a, b) })
 		flop := 2 * float64(s.m) * float64(s.k) * float64(s.n)
-		fmt.Fprintf(o.Out, "%-20s %-16s %12.0f %12.0f %9.2f %9.2f %7.2fx\n",
+		fmt.Fprintf(o.Out, "%-22s %-16s %12.0f %12.0f %9.2f %9.2f %7.2fx\n",
 			s.label, fmt.Sprintf("%d×%d×%d", s.m, s.k, s.n),
 			refNs, newNs, flop/refNs, flop/newNs, refNs/newNs)
 	}
 
-	// --- MatMulTransB (attention scores / weight gradients) --------------
-	fmt.Fprintf(o.Out, "\nMatMulTransB (a @ bᵀ): seed dot-loop vs 2×4-tiled kernel\n")
-	fmt.Fprintf(o.Out, "%-20s %-16s %12s %12s %8s\n",
-		"shape", "m×k×n", "ref ns/op", "new ns/op", "speedup")
-	for _, s := range []struct {
-		label   string
-		m, k, n int
-	}{
-		{"scores q@kᵀ", 1504, 24, 38},
-		{"grad w@xᵀ", 304, 24, 48},
-	} {
-		a := tensor.Randn(s.m, s.k, 1, rng)
-		b := tensor.Randn(s.n, s.k, 1, rng)
-		dst := tensor.New(s.m, s.n)
-		refNs := timeOp(func() { matMulTransBSeedRef(dst, a, b) })
-		newNs := timeOp(func() { tensor.MatMulTransBInto(dst, a, b) })
-		fmt.Fprintf(o.Out, "%-20s %-16s %12.0f %12.0f %7.2fx\n",
+	// --- gradient forms of the two hottest products ----------------------
+	// dW += xᵀ @ dO (MatMulTransAInto) and dX += dO @ Wᵀ
+	// (MatMulTransBAddInto), m×k×n read as in the dense table.
+	grads := []shape{{"mixer (train)", 11250, 73, 73}, {"tgat proj (train)", 49500, 48, 24}}
+	fmt.Fprintf(o.Out, "\nMatMulTransA (aᵀ @ b, path: %s): seed skip-loop vs dispatching kernel\n", path)
+	fmt.Fprintf(o.Out, "%-22s %-16s %12s %12s %8s\n", "shape", "m×k×n", "ref ns/op", "new ns/op", "speedup")
+	for _, s := range grads {
+		x := tensor.Randn(s.m, s.k, 1, rng)
+		dO := tensor.Randn(s.m, s.n, 1, rng)
+		dW := tensor.New(s.k, s.n)
+		refNs := timeOp(func() { matMulTransASeedRef(dW, x, dO) })
+		newNs := timeOp(func() { tensor.MatMulTransAInto(dW, x, dO) })
+		fmt.Fprintf(o.Out, "%-22s %-16s %12.0f %12.0f %7.2fx\n",
+			s.label, fmt.Sprintf("%d×%d×%d", s.m, s.k, s.n), refNs, newNs, refNs/newNs)
+	}
+	fmt.Fprintf(o.Out, "\nMatMulTransB (a @ bᵀ, path: %s): seed dot-loop vs dispatching kernel\n", path)
+	fmt.Fprintf(o.Out, "%-22s %-16s %12s %12s %8s\n", "shape", "m×k×n", "ref ns/op", "new ns/op", "speedup")
+	for _, s := range grads {
+		dO := tensor.Randn(s.m, s.n, 1, rng)
+		w := tensor.Randn(s.k, s.n, 1, rng)
+		dX := tensor.New(s.m, s.k)
+		refNs := timeOp(func() { matMulTransBSeedRef(dX, dO, w) })
+		newNs := timeOp(func() { tensor.MatMulTransBInto(dX, dO, w) })
+		fmt.Fprintf(o.Out, "%-22s %-16s %12.0f %12.0f %7.2fx\n",
 			s.label, fmt.Sprintf("%d×%d×%d", s.m, s.k, s.n), refNs, newNs, refNs/newNs)
 	}
 
@@ -74,17 +83,18 @@ func Kernels(o Options) error {
 	// The dense kernels dropped the seed's per-element zero test; callers
 	// with mask-zeroed left operands use the explicit sparse entry point.
 	// This table records where the branchy skip loop starts winning.
-	fmt.Fprintf(o.Out, "\nSparsity crossover on 1504×38×24 (zeros in a)\n")
+	const cm, ck, cn = 4500, 72, 24
+	fmt.Fprintf(o.Out, "\nSparsity crossover on %d×%d×%d (zeros in a; dense path: %s)\n", cm, ck, cn, path)
 	fmt.Fprintf(o.Out, "%-10s %12s %12s %10s\n", "zero frac", "dense ns/op", "sparse ns/op", "winner")
 	for _, zf := range []float64{0, 0.5, 0.75, 0.9, 0.97} {
-		a := tensor.Randn(1504, 38, 1, rng)
+		a := tensor.Randn(cm, ck, 1, rng)
 		for i := range a.Data {
 			if rng.Float64() < zf {
 				a.Data[i] = 0
 			}
 		}
-		b := tensor.Randn(38, 24, 1, rng)
-		dst := tensor.New(1504, 24)
+		b := tensor.Randn(ck, cn, 1, rng)
+		dst := tensor.New(cm, cn)
 		denseNs := timeOp(func() { tensor.MatMulInto(dst, a, b) })
 		sparseNs := timeOp(func() { tensor.MatMulSparseAInto(dst, a, b) })
 		winner := "dense"
@@ -167,6 +177,25 @@ func matMulTransBSeedRef(dst, a, b *tensor.Matrix) {
 				s += arow[k] * bv
 			}
 			drow[j] = s
+		}
+	}
+}
+
+// matMulTransASeedRef is the seed's aᵀ @ b accumulate: one dst row at a
+// time, with a per-element zero test.
+func matMulTransASeedRef(dst, a, b *tensor.Matrix) {
+	n, p := a.Cols, b.Cols
+	for i := 0; i < n; i++ {
+		drow := dst.Data[i*p : (i+1)*p]
+		for k := 0; k < a.Rows; k++ {
+			av := a.Data[k*n+i]
+			if av == 0 {
+				continue
+			}
+			brow := b.Data[k*p : (k+1)*p]
+			for j, bv := range brow {
+				drow[j] += av * bv
+			}
 		}
 	}
 }

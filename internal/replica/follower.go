@@ -113,6 +113,7 @@ type Follower struct {
 	cfg    FollowerConfig
 	cancel context.CancelFunc
 	done   chan struct{}
+	now    func() time.Time // wall clock of lastContact and Healthy (time.Now)
 
 	mu      sync.Mutex // serializes promotion/close finalization
 	failErr error      // set once when state becomes StateFailed
@@ -139,6 +140,12 @@ type Follower struct {
 // log first, and a stream that is longer than the leader's synced log or
 // differs at the join point fails with ErrDiverged.
 func StartFollower(cfg FollowerConfig) (*Follower, error) {
+	return startFollower(cfg, time.Now)
+}
+
+// startFollower is StartFollower with the follower's wall clock supplied,
+// so tests can pin the staleness Healthy measures.
+func startFollower(cfg FollowerConfig, now func() time.Time) (*Follower, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("replica: FollowerConfig.Engine is required")
 	}
@@ -158,7 +165,7 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 		cfg.CatchupRetries = 3
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	f := &Follower{cfg: cfg, cancel: cancel, done: make(chan struct{})}
+	f := &Follower{cfg: cfg, cancel: cancel, done: make(chan struct{}), now: now}
 	f.state.Store(int32(StateCatchup))
 	wasWritable := cfg.Engine.Writable()
 	cfg.Engine.SetWritable(false)
@@ -215,7 +222,7 @@ func (f *Follower) catchUpOnce(ctx context.Context) error {
 		return err
 	}
 	f.leaderSeq.Store(st.Synced)
-	f.lastContact.Store(time.Now().UnixNano())
+	f.lastContact.Store(f.now().UnixNano())
 	if uint64(st.CheckpointEvents) <= applied {
 		f.applied.Store(applied)
 		return nil // the log tail covers the rest; no checkpoint needed
@@ -322,7 +329,7 @@ func (f *Follower) loop(ctx context.Context) {
 		if ctx.Err() != nil {
 			return
 		}
-		now := time.Now()
+		now := f.now()
 		if contact {
 			f.lastContact.Store(now.UnixNano())
 		}
@@ -634,7 +641,7 @@ func (f *Follower) Healthy() error {
 		if st.Lag > f.cfg.LagThreshold {
 			return fmt.Errorf("replica: lag %d exceeds threshold %d", st.Lag, f.cfg.LagThreshold)
 		}
-		if stale := time.Since(st.LastContact); stale > f.staleBound() {
+		if stale := f.now().Sub(st.LastContact); stale > f.staleBound() {
 			return fmt.Errorf("replica: no leader contact for %v", stale.Round(time.Millisecond))
 		}
 		return nil

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -176,9 +177,13 @@ func TestFollowerConvergesBitwise(t *testing.T) {
 	}
 	ts := startLeaderServer(t, leader.e)
 
-	f, err := StartFollower(FollowerConfig{
+	// The follower's clock is frozen, so the final Healthy() check measures
+	// lag and recorded leader contact, not how long the scheduler took
+	// between the last poll and the check (staleBound here is 10 ms).
+	frozen := time.Unix(1_700_000_000, 0)
+	f, err := startFollower(FollowerConfig{
 		Engine: follower.e, Leader: ts.URL, PollInterval: 2 * time.Millisecond,
-	})
+	}, func() time.Time { return frozen })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,6 +218,44 @@ func TestFollowerConvergesBitwise(t *testing.T) {
 	}
 	if err := f.Healthy(); err != nil {
 		t.Fatalf("Healthy() = %v, want nil", err)
+	}
+}
+
+// TestHealthyReportsStaleAfterStaleBound pins Healthy's staleness rule on
+// an injected clock: a tailing follower is healthy up to staleBound after
+// its last leader contact and unhealthy past it, with the failover deadline
+// replacing the five-poll bound when armed.
+func TestHealthyReportsStaleAfterStaleBound(t *testing.T) {
+	for _, cfg := range []FollowerConfig{
+		{PollInterval: 2 * time.Millisecond, LagThreshold: 4096},
+		{PollInterval: 2 * time.Millisecond, LagThreshold: 4096, FailoverAfter: time.Second},
+	} {
+		contact := time.Unix(1_700_000_000, 0)
+		now := contact
+		f := &Follower{cfg: cfg, now: func() time.Time { return now }}
+		f.state.Store(int32(StateTailing))
+		f.lastContact.Store(contact.UnixNano())
+		bound := f.staleBound()
+		want := 5 * cfg.PollInterval
+		if cfg.FailoverAfter > 0 {
+			want = cfg.FailoverAfter
+		}
+		if bound != want {
+			t.Fatalf("staleBound = %v, want %v", bound, want)
+		}
+		for _, step := range []struct {
+			after   time.Duration
+			healthy bool
+		}{{0, true}, {bound, true}, {bound + time.Nanosecond, false}, {10 * bound, false}} {
+			now = contact.Add(step.after)
+			err := f.Healthy()
+			if step.healthy && err != nil {
+				t.Fatalf("bound %v, %v after contact: Healthy() = %v, want nil", bound, step.after, err)
+			}
+			if !step.healthy && (err == nil || !strings.Contains(err.Error(), "no leader contact")) {
+				t.Fatalf("bound %v, %v after contact: Healthy() = %v, want a stale-contact error", bound, step.after, err)
+			}
+		}
 	}
 }
 

@@ -72,14 +72,28 @@ func MatMulInto(dst, a, b *Matrix) {
 // result is bitwise-identical to the straight-line ikj loop for every shape
 // and any [lo, hi) split — the lane grouping only changes which rows are
 // computed together, never the order of adds within an element.
+//
+// With AVX2 the first p&^7 columns of each four-row pass run as 4×8 tiles
+// of the assembly micro-kernel (same order, same roundings); the column
+// tail and the row tail stay on the scalar loops.
 func matMulDenseRange(dst, a, b *Matrix, lo, hi int) {
 	n, p := a.Cols, b.Cols
+	pv := 0
+	if useAVX2 && n > 0 {
+		pv = p &^ 7
+	}
 	i := lo
 	for ; i+4 <= hi; i += 4 {
-		d0 := dst.Data[i*p : i*p+p]
-		d1 := dst.Data[(i+1)*p : (i+1)*p+p][:len(d0)]
-		d2 := dst.Data[(i+2)*p : (i+2)*p+p][:len(d0)]
-		d3 := dst.Data[(i+3)*p : (i+3)*p+p][:len(d0)]
+		if pv > 0 {
+			gemmTiles(a.Data, i*n, n, 1, b.Data, 0, p, dst.Data, i*p, p, n, pv/8, 0)
+			if pv == p {
+				continue
+			}
+		}
+		d0 := dst.Data[i*p+pv : i*p+p]
+		d1 := dst.Data[(i+1)*p+pv : (i+1)*p+p][:len(d0)]
+		d2 := dst.Data[(i+2)*p+pv : (i+2)*p+p][:len(d0)]
+		d3 := dst.Data[(i+3)*p+pv : (i+3)*p+p][:len(d0)]
 		for j := range d0 {
 			d0[j] = 0
 			d1[j] = 0
@@ -92,7 +106,7 @@ func matMulDenseRange(dst, a, b *Matrix, lo, hi int) {
 		a3 := a.Data[(i+3)*n : (i+3)*n+n][:len(a0)]
 		for k, av0 := range a0 {
 			av1, av2, av3 := a1[k], a2[k], a3[k]
-			brow := b.Data[k*p : k*p+p][:len(d0)]
+			brow := b.Data[k*p+pv : k*p+p][:len(d0)]
 			for j, bv := range brow {
 				d0[j] += av0 * bv
 				d1[j] += av1 * bv
@@ -185,14 +199,46 @@ func MatMulTransBInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("tensor: MatMulTransBInto dst shape")
 	}
+	matMulTransB(dst, a, b, false)
+}
+
+// matMulTransB runs MatMulTransBInto (or, with accumulate,
+// MatMulTransBAddInto) on checked shapes. With AVX2 it first packs bᵀ once,
+// before the row fan-out, so the micro-kernel reads it like a dense right
+// operand; the pack buffer comes from packPool.
+func matMulTransB(dst, a, b *Matrix, accumulate bool) {
+	work := a.Rows * a.Cols * b.Rows
+	var pb *packBuf
+	var bt []float64
+	if useAVX2 && a.Cols > 0 && b.Rows >= 8 && a.Rows >= 4 && work >= smallThreshold {
+		pb = packPool.Get().(*packBuf)
+		bt = packTransB(pb, b)
+	}
 	// The serial path goes through a named range function so no closure is
 	// materialized on it (conditionally-constructed closures heap-escape even
 	// when the parallel branch is never taken).
-	if a.Rows*a.Cols*b.Rows < parallelThreshold || workerLimit() == 1 {
-		matMulTransBRange(dst, a, b, 0, a.Rows, false)
-		return
+	if work < parallelThreshold || workerLimit() == 1 {
+		matMulTransBRange(dst, a, b, bt, 0, a.Rows, accumulate)
+	} else {
+		parallelRows(a.Rows, func(lo, hi int) { matMulTransBRange(dst, a, b, bt, lo, hi, accumulate) })
 	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulTransBRange(dst, a, b, lo, hi, false) })
+	if pb != nil {
+		packPool.Put(pb)
+	}
+}
+
+// packTransB packs the first b.Rows&^7 rows of b, transposed, into pb.b
+// (bt[k*jv+j] = b[j][k] for jv = b.Rows&^7) and returns it.
+func packTransB(pb *packBuf, b *Matrix) []float64 {
+	n, jv := b.Cols, b.Rows&^7
+	pb.ensureB(n * jv)
+	bt := pb.b
+	for j := 0; j < jv; j++ {
+		for k, v := range b.Data[j*n : j*n+n] {
+			bt[k*jv+j] = v
+		}
+	}
+	return bt
 }
 
 // matMulTransBRange computes (or, with accumulate, adds) rows [lo, hi) of
@@ -203,16 +249,35 @@ func MatMulTransBInto(dst, a, b *Matrix) {
 // GOAMD64=v1, while a 4×4 tile spills). Every dot product accumulates
 // k-ascending from zero, so results are bitwise-identical to the
 // straight-line loop for every shape and any [lo, hi) split.
-func matMulTransBRange(dst, a, b *Matrix, lo, hi int, accumulate bool) {
+//
+// A non-empty bt is matMulTransB's packed bᵀ for the first jv = len(bt)/n
+// dst columns: each four-row pass computes those columns as AVX2 4×8 tiles
+// (sums from zero, stored or added at the end, exactly like the scalar
+// dot products), and the scalar tiles start at column jv.
+func matMulTransBRange(dst, a, b *Matrix, bt []float64, lo, hi int, accumulate bool) {
 	n, p := a.Cols, b.Cols
 	m2 := b.Rows
+	jv, end := 0, lo
+	if len(bt) > 0 {
+		jv, end = len(bt)/n, lo+(hi-lo)&^3
+	}
+	flags := 0
+	if accumulate {
+		flags = gemmAdd
+	}
 	i := lo
 	for ; i+2 <= hi; i += 2 {
+		j := 0
+		if i < end {
+			if (i-lo)%4 == 0 {
+				gemmTiles(a.Data, i*n, n, 1, bt, 0, jv, dst.Data, i*m2, m2, n, jv/8, flags)
+			}
+			j = jv
+		}
 		a0 := a.Data[i*n : i*n+n]
 		a1 := a.Data[(i+1)*n : (i+1)*n+n][:len(a0)]
 		d0 := dst.Data[i*m2 : i*m2+m2]
 		d1 := dst.Data[(i+1)*m2 : (i+1)*m2+m2][:len(d0)]
-		j := 0
 		for ; j+4 <= m2; j += 4 {
 			b0 := b.Data[j*p : j*p+p][:len(a0)]
 			b1 := b.Data[(j+1)*p : (j+1)*p+p][:len(a0)]
@@ -303,11 +368,7 @@ func MatMulTransBAddInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("tensor: MatMulTransBAddInto dst shape")
 	}
-	if a.Rows*a.Cols*b.Rows < parallelThreshold || workerLimit() == 1 {
-		matMulTransBRange(dst, a, b, 0, a.Rows, true)
-		return
-	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulTransBRange(dst, a, b, lo, hi, true) })
+	matMulTransB(dst, a, b, true)
 }
 
 // MatMulTransAInto computes dst = aᵀ @ b, accumulating into dst (dst is NOT
@@ -340,31 +401,36 @@ func MatMulTransAInto(dst, a, b *Matrix) {
 // once for four accumulate lanes; the four a loads per k are contiguous.
 // Per-element accumulation is k-ascending exactly like the straight-line
 // loop, so any [lo, hi) split of rows is bitwise-equivalent to serial.
+//
+// With AVX2 the first p&^7 columns of each pass run as 4×8 tiles of the
+// assembly micro-kernel, which loads its sums from dst (the in-place
+// accumulate) and keeps the four-lane zero skip. The passes walk k in
+// transAChunk slices so a and b stay cache-resident across the tiles; the
+// scalar column tail follows each tile within the slice.
 func matMulTransARange(dst, a, b *Matrix, lo, hi int) {
 	n, p := a.Cols, b.Cols
 	m := a.Rows
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		d0 := dst.Data[i*p : i*p+p]
-		d1 := dst.Data[(i+1)*p : (i+1)*p+p][:len(d0)]
-		d2 := dst.Data[(i+2)*p : (i+2)*p+p][:len(d0)]
-		d3 := dst.Data[(i+3)*p : (i+3)*p+p][:len(d0)]
-		for k := 0; k < m; k++ {
-			acol := a.Data[k*n+i : k*n+i+4]
-			av0, av1, av2, av3 := acol[0], acol[1], acol[2], acol[3]
-			if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-				continue // masked token: its whole a row is zero
-			}
-			brow := b.Data[k*p : k*p+p][:len(d0)]
-			for j, bv := range brow {
-				d0[j] += av0 * bv
-				d1[j] += av1 * bv
-				d2[j] += av2 * bv
-				d3[j] += av3 * bv
+	end := lo + (hi-lo)&^3
+	pv := 0
+	if useAVX2 && m*n*p >= smallThreshold {
+		pv = p &^ 7
+	}
+	if pv > 0 {
+		for k0 := 0; k0 < m; k0 += transAChunk {
+			k1 := min(k0+transAChunk, m)
+			for i := lo; i < end; i += 4 {
+				gemmTiles(a.Data, k0*n+i, 1, n, b.Data, k0*p, p, dst.Data, i*p, p, k1-k0, pv/8, gemmLoad|gemmSkip)
+				if pv < p {
+					transAQuad(dst, a, b, i, k0, k1, pv)
+				}
 			}
 		}
+	} else {
+		for i := lo; i < end; i += 4 {
+			transAQuad(dst, a, b, i, 0, m, 0)
+		}
 	}
-	for ; i < hi; i++ {
+	for i := end; i < hi; i++ {
 		drow := dst.Data[i*p : i*p+p]
 		for k := 0; k < m; k++ {
 			av := a.Data[k*n+i]
@@ -375,6 +441,31 @@ func matMulTransARange(dst, a, b *Matrix, lo, hi int) {
 			for j, bv := range brow {
 				drow[j] += av * bv
 			}
+		}
+	}
+}
+
+// transAQuad is matMulTransARange's scalar four-row pass: for each a row k
+// in [k0, k1) it adds a[k][i+r]·b[k][j] into dst[i+r][j] for r < 4 and j
+// in [j0, p), skipping a k whose four a values are all zero.
+func transAQuad(dst, a, b *Matrix, i, k0, k1, j0 int) {
+	n, p := a.Cols, b.Cols
+	d0 := dst.Data[i*p+j0 : i*p+p]
+	d1 := dst.Data[(i+1)*p+j0 : (i+1)*p+p][:len(d0)]
+	d2 := dst.Data[(i+2)*p+j0 : (i+2)*p+p][:len(d0)]
+	d3 := dst.Data[(i+3)*p+j0 : (i+3)*p+p][:len(d0)]
+	for k := k0; k < k1; k++ {
+		acol := a.Data[k*n+i : k*n+i+4]
+		av0, av1, av2, av3 := acol[0], acol[1], acol[2], acol[3]
+		if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
+			continue // masked token: its whole a row is zero
+		}
+		brow := b.Data[k*p+j0 : k*p+p][:len(d0)]
+		for j, bv := range brow {
+			d0[j] += av0 * bv
+			d1[j] += av1 * bv
+			d2[j] += av2 * bv
+			d3[j] += av3 * bv
 		}
 	}
 }

@@ -345,9 +345,61 @@ func benchMM(b *testing.B, kernel func(dst, a, bb *Matrix), shapes [][3]int) {
 	}
 }
 
-var benchShapes = [][3]int{{1504, 38, 24}, {1504, 24, 48}, {304, 48, 24}, {256, 256, 256}, {512, 512, 512}}
+// benchShapes are m×k×n triples: the two hottest products of a traced
+// train-tgat run (the sampler mixer's 11250×73×73 and TGAT's 49500×48×24),
+// smaller per-batch projections, and the unpacked and packed square regimes.
+var benchShapes = [][3]int{
+	{11250, 73, 73}, {49500, 48, 24},
+	{1504, 38, 24}, {1504, 24, 48}, {304, 48, 24}, {256, 256, 256}, {512, 512, 512},
+}
 
 func BenchmarkMatMul(b *testing.B) { benchMM(b, MatMulInto, benchShapes) }
 func BenchmarkMatMulRef(b *testing.B) {
 	benchMM(b, func(d, x, y *Matrix) { matMulRef(d, x, y) }, benchShapes)
+}
+
+// BenchmarkMatMulScalar is BenchmarkMatMul with the AVX2 micro-kernel off.
+func BenchmarkMatMulScalar(b *testing.B) {
+	withAVX2(false, func() { benchMM(b, MatMulInto, benchShapes) })
+}
+
+// BenchmarkMatMulTransA and BenchmarkMatMulTransBAdd run the gradient forms
+// of the traced shapes (m×k×n read as in benchShapes): dW += xᵀ @ dO and
+// dX += dO @ Wᵀ.
+func BenchmarkMatMulTransA(b *testing.B) {
+	benchGrad(b, func(m, k, n int, rng *mathx.RNG) func() {
+		x, dO, dW := Randn(m, k, 1, rng), Randn(m, n, 1, rng), New(k, n)
+		return func() { MatMulTransAInto(dW, x, dO) }
+	})
+}
+
+func BenchmarkMatMulTransBAdd(b *testing.B) {
+	benchGrad(b, func(m, k, n int, rng *mathx.RNG) func() {
+		dO, w, dX := Randn(m, n, 1, rng), Randn(k, n, 1, rng), New(m, k)
+		return func() { MatMulTransBAddInto(dX, dO, w) }
+	})
+}
+
+// benchGrad times the op setup builds for each traced shape, with the AVX2
+// micro-kernel on (where the host has it) and off.
+func benchGrad(b *testing.B, setup func(m, k, n int, rng *mathx.RNG) func()) {
+	paths := []bool{false}
+	if useAVX2 {
+		paths = []bool{true, false}
+	}
+	for _, on := range paths {
+		withAVX2(on, func() {
+			for _, s := range benchShapes[:2] {
+				m, k, n := s[0], s[1], s[2]
+				b.Run(fmt.Sprintf("avx2=%v/%dx%dx%d", on, m, k, n), func(b *testing.B) {
+					op := setup(m, k, n, mathx.NewRNG(99))
+					b.SetBytes(int64(2 * m * k * n))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						op()
+					}
+				})
+			}
+		})
+	}
 }

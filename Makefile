@@ -55,8 +55,8 @@ bench-alloc:
 	$(GO) run ./cmd/taser-bench -exp alloc
 
 # Raw-speed floor: the dispatching MatMul kernels vs the seed loops on the
-# traced train-tgat shapes (ns/op, GFLOP/s; each table names the path taken,
-# avx2 or scalar) and the dense/sparse density crossover (DESIGN.md §13).
+# traced train-tgat shapes and their TransA/TransB gradient forms (ns/op,
+# GFLOP/s; each table names the path taken, avx2 or scalar; DESIGN.md §13).
 bench-kernels:
 	$(GO) run ./cmd/taser-bench -exp kernels
 

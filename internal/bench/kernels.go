@@ -11,9 +11,8 @@ import (
 
 // Kernels measures the raw-speed floor (DESIGN.md §13): the dispatching
 // MatMul kernels against the seed's plain loops on the shapes a traced
-// train-tgat run pushes through them, and the density crossover between
-// the dense path and the explicit MatMulSparseAInto entry point. Every
-// table header names the path the dispatch took on this host: "avx2" (the
+// train-tgat run pushes through them, with the TransA and TransB gradient
+// forms of the two hottest products. Every table header names the path the dispatch took on this host: "avx2" (the
 // 4×8 assembly micro-kernel) or "scalar".
 func Kernels(o Options) error {
 	o = o.Normalize()
@@ -26,8 +25,8 @@ func Kernels(o Options) error {
 	// --- dense MatMul: seed reference loop vs dispatching kernel ---------
 	// The traced train-tgat products: the adaptive sampler's mixer
 	// (11250 candidate rows × 73) and TGAT's projections (49500 token rows,
-	// 48 → 24), at their training and their EvalMRR row counts, plus the
-	// unpacked and packed square regimes.
+	// 48 → 24), at their training and their EvalMRR row counts, plus two
+	// square products.
 	rng := mathx.NewRNG(o.Seed)
 	fmt.Fprintf(o.Out, "Dense MatMul (path: %s): seed skip-loop vs dispatching kernel\n", path)
 	fmt.Fprintf(o.Out, "%-22s %-16s %12s %12s %9s %9s %8s\n",
@@ -38,8 +37,8 @@ func Kernels(o Options) error {
 		{"tgat ffn (train)", 4500, 72, 24},
 		{"mixer (eval)", 26250, 73, 73},
 		{"tgat proj (eval)", 115500, 48, 24},
-		{"square dense-path", 256, 256, 256},
-		{"square blocked", 512, 512, 512},
+		{"square 256", 256, 256, 256},
+		{"square 512", 512, 512, 512},
 	} {
 		a := tensor.Randn(s.m, s.k, 1, rng)
 		b := tensor.Randn(s.k, s.n, 1, rng)
@@ -77,31 +76,6 @@ func Kernels(o Options) error {
 		newNs := timeOp(func() { tensor.MatMulTransBInto(dX, dO, w) })
 		fmt.Fprintf(o.Out, "%-22s %-16s %12.0f %12.0f %7.2fx\n",
 			s.label, fmt.Sprintf("%d×%d×%d", s.m, s.k, s.n), refNs, newNs, refNs/newNs)
-	}
-
-	// --- sparsity crossover: dense path vs MatMulSparseAInto -------------
-	// The dense kernels dropped the seed's per-element zero test; callers
-	// with mask-zeroed left operands use the explicit sparse entry point.
-	// This table records where the branchy skip loop starts winning.
-	const cm, ck, cn = 4500, 72, 24
-	fmt.Fprintf(o.Out, "\nSparsity crossover on %d×%d×%d (zeros in a; dense path: %s)\n", cm, ck, cn, path)
-	fmt.Fprintf(o.Out, "%-10s %12s %12s %10s\n", "zero frac", "dense ns/op", "sparse ns/op", "winner")
-	for _, zf := range []float64{0, 0.5, 0.75, 0.9, 0.97} {
-		a := tensor.Randn(cm, ck, 1, rng)
-		for i := range a.Data {
-			if rng.Float64() < zf {
-				a.Data[i] = 0
-			}
-		}
-		b := tensor.Randn(ck, cn, 1, rng)
-		dst := tensor.New(cm, cn)
-		denseNs := timeOp(func() { tensor.MatMulInto(dst, a, b) })
-		sparseNs := timeOp(func() { tensor.MatMulSparseAInto(dst, a, b) })
-		winner := "dense"
-		if sparseNs < denseNs {
-			winner = "sparse"
-		}
-		fmt.Fprintf(o.Out, "%-10.2f %12.0f %12.0f %10s\n", zf, denseNs, sparseNs, winner)
 	}
 	return nil
 }

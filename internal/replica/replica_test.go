@@ -113,18 +113,28 @@ func assertEquivalent(t *testing.T, follower, leader *serve.Engine, probes []tgr
 }
 
 // waitCaughtUp polls until the follower has applied the leader's synced
-// sequence (forced current by a leader checkpoint first).
+// sequence (forced current by a leader checkpoint first) and holds the
+// leader's weight version.
 func waitCaughtUp(t *testing.T, f *Follower, leader *serve.Engine) {
 	t.Helper()
 	if err := leader.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	synced := leader.Stats().WALSynced
+	// A poll applies its records before it fetches the weights its header
+	// advertises, so Applied can reach synced a moment before the follower
+	// holds the leader's weight version; wait for both.
+	weights := leader.WeightVersion()
+	hasWeights := func() bool {
+		pw := f.cfg.Engine.PublishedWeights()
+		return f.cfg.Engine.WeightVersion() >= weights || (pw != nil && pw.Version >= weights)
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for f.Status().Applied < synced {
+	for f.Status().Applied < synced || !hasWeights() {
 		if time.Now().After(deadline) {
 			st := f.Status()
-			t.Fatalf("follower stuck at %d/%d (state %v, err %v)", st.Applied, synced, st.State, st.Err)
+			t.Fatalf("follower stuck at %d/%d, weights %d want %d (state %v, err %v)",
+				st.Applied, synced, f.cfg.Engine.WeightVersion(), weights, st.State, st.Err)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -12,9 +12,9 @@ const parallelThreshold = 1 << 16
 
 // smallThreshold is the number of multiply-adds below which MatMulInto runs
 // the plain one-row ikj loop: for tiny products the 4-row lane kernel's
-// setup and remainder handling cost more than they save. Every dispatch
-// target accumulates k-ascending per element, so the cutover is invisible
-// to callers (bitwise, when K fits one panel — see matmul_blocked.go).
+// setup and remainder handling cost more than they save. Both regimes
+// accumulate k-ascending per element, so the cutover is bitwise-invisible
+// to callers.
 const smallThreshold = 1 << 12
 
 // workerLimit reports the scheduler width for parallel kernels. It is read
@@ -25,15 +25,16 @@ const smallThreshold = 1 << 12
 func workerLimit() int { return runtime.GOMAXPROCS(0) }
 
 // MatMulInto computes dst = a @ b. dst must be pre-shaped a.Rows×b.Cols and
-// must not alias a or b. Large products run the cache-blocked packed-panel
-// kernel (matmul_blocked.go) and are split across worker goroutines by row
-// block; each worker owns a disjoint range of dst rows.
+// must not alias a or b. Tiny products run the one-row loop; everything else
+// runs the 4-row dense kernel, split across worker goroutines by row block
+// once large enough — each worker owns a disjoint range of dst rows. Both
+// regimes are bitwise-identical to the straight-line ikj loop for every
+// shape.
 //
 // The dense path carries no zero-skip branch: every a element is multiplied
 // through, which keeps the inner loop branch-free and lets products with
 // exact-zero operands follow IEEE semantics (0·Inf = NaN propagates instead
-// of being skipped). Callers multiplying a row- or element-sparse a should
-// use MatMulSparseAInto, which keeps the skip.
+// of being skipped).
 func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -46,17 +47,6 @@ func MatMulInto(dst, a, b *Matrix) {
 		matMulSmallRange(dst, a, b, 0, a.Rows)
 		return
 	}
-	// Pick the kernel by B's footprint: while B stays cache-resident the
-	// unpacked 4-row kernel wins; past blockedMinElems the packed panels pay
-	// for themselves. All model shapes in this repo take the dense path.
-	if b.Rows*b.Cols >= blockedMinElems {
-		if work < parallelThreshold || workerLimit() == 1 {
-			matMulBlockedRange(dst, a, b, 0, a.Rows)
-			return
-		}
-		parallelRows(a.Rows, func(lo, hi int) { matMulBlockedRange(dst, a, b, lo, hi) })
-		return
-	}
 	if work < parallelThreshold || workerLimit() == 1 {
 		matMulDenseRange(dst, a, b, 0, a.Rows)
 		return
@@ -67,11 +57,11 @@ func MatMulInto(dst, a, b *Matrix) {
 // matMulDenseRange computes rows [lo, hi) of dst = a @ b four dst rows per
 // pass: each streamed b row is loaded once and feeds four register-resident
 // a values (4 multiply-adds per b load instead of 1), and the four dst rows
-// it writes stay in L1 because b.Cols is cache-small on this path. No
-// packing, no zero-skip. Per-element accumulation is k-ascending, so the
-// result is bitwise-identical to the straight-line ikj loop for every shape
-// and any [lo, hi) split — the lane grouping only changes which rows are
-// computed together, never the order of adds within an element.
+// it writes stay in L1 for the narrow b every model shape has. No packing,
+// no zero-skip. Per-element accumulation is k-ascending, so the result is
+// bitwise-identical to the straight-line ikj loop for every shape and any
+// [lo, hi) split — the lane grouping only changes which rows are computed
+// together, never the order of adds within an element.
 //
 // With AVX2 the first p&^7 columns of each four-row pass run as 4×8 tiles
 // of the assembly micro-kernel (same order, same roundings); the column
@@ -123,7 +113,7 @@ func matMulDenseRange(dst, a, b *Matrix, lo, hi int) {
 // matMulSmallRange computes rows [lo, hi) of dst = a @ b with an ikj loop
 // order that streams b row-wise. No packing, no zero-skip: the small-product
 // path of MatMulInto. Accumulation order (k ascending per element) matches
-// the blocked kernel's single-panel order.
+// matMulDenseRange's.
 func matMulSmallRange(dst, a, b *Matrix, lo, hi int) {
 	n, p := a.Cols, b.Cols
 	for i := lo; i < hi; i++ {
@@ -133,49 +123,6 @@ func matMulSmallRange(dst, a, b *Matrix, lo, hi int) {
 		}
 		arow := a.Data[i*n : i*n+n]
 		for k, av := range arow {
-			brow := b.Data[k*p : k*p+p][:len(drow)]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MatMulSparseAInto computes dst = a @ b exactly like MatMulInto but keeps
-// the per-element zero-skip on a: a row of b is only read (and a row of
-// multiply-adds only spent) for nonzero a elements. This is the explicit
-// sparse entry point for callers whose left operand is mostly zero —
-// mask-zeroed token rows, one-hot gathers — where skipping beats the dense
-// micro-kernel; `taser-bench -exp kernels` records the density crossover.
-// For dense a the branch mispredicts per element and loses to MatMulInto.
-func MatMulSparseAInto(dst, a, b *Matrix) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulSparseA %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulSparseAInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
-	if a.Rows*a.Cols*b.Cols < parallelThreshold || workerLimit() == 1 {
-		matMulSparseARange(dst, a, b, 0, a.Rows)
-		return
-	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulSparseARange(dst, a, b, lo, hi) })
-}
-
-// matMulSparseARange is the skip-based ikj kernel: rows [lo, hi) of a @ b,
-// reading b row k only when a[i][k] != 0.
-func matMulSparseARange(dst, a, b *Matrix, lo, hi int) {
-	n, p := a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*p : i*p+p]
-		for j := range drow {
-			drow[j] = 0
-		}
-		arow := a.Data[i*n : i*n+n]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
 			brow := b.Data[k*p : k*p+p][:len(drow)]
 			for j, bv := range brow {
 				drow[j] += av * bv
@@ -239,6 +186,24 @@ func packTransB(pb *packBuf, b *Matrix) []float64 {
 		}
 	}
 	return bt
+}
+
+// packBuf holds pooled pack storage for matMulTransB's packed bᵀ. Buffers
+// are recycled through packPool with the arena's capacity discipline
+// (grow-only, reused across calls, never aliasing caller data), so
+// steady-state MatMulTransBInto performs no heap allocations for packing.
+type packBuf struct {
+	b []float64
+}
+
+var packPool = sync.Pool{New: func() any { return new(packBuf) }}
+
+func (pb *packBuf) ensureB(n int) {
+	if cap(pb.b) < n {
+		pb.b = make([]float64, n)
+	} else {
+		pb.b = pb.b[:n]
+	}
 }
 
 // matMulTransBRange computes (or, with accumulate, adds) rows [lo, hi) of

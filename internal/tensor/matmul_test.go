@@ -12,8 +12,8 @@ import (
 
 // matMulRef is the seed repo's skip-based ikj loop, kept verbatim as the
 // equivalence reference for the tiled kernels: per-element accumulation is
-// k-ascending from zero, which is the order the dense, blocked (single
-// panel), and parallel paths all contractually preserve.
+// k-ascending from zero, which is the order the small, dense and parallel
+// paths all contractually preserve.
 func matMulRef(dst, a, b *Matrix) {
 	n, p := a.Cols, b.Cols
 	for i := 0; i < a.Rows; i++ {
@@ -98,67 +98,40 @@ func withZeros(m *Matrix, frac float64, rng *mathx.RNG) *Matrix {
 	return m
 }
 
-// TestMatMulDenseBitwiseMatchesRef pins the dense-path contract: for every
-// shape (including 4-row remainders and the small-product cutover) and for
-// inputs with exact zeros, MatMulInto is bitwise-identical to the seed loop.
+// TestMatMulDenseBitwiseMatchesRef pins the MatMulInto contract: for every
+// shape (including 4-row remainders, the small-product cutover, and deep
+// products with k > 256 against a b of 2^18 or more elements) and for inputs
+// with exact zeros, MatMulInto is bitwise-identical to the seed loop — on
+// the AVX2 and the scalar path, serial and split across two workers.
 func TestMatMulDenseBitwiseMatchesRef(t *testing.T) {
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
 	rng := mathx.NewRNG(11)
 	shapes := [][3]int{
 		{1, 1, 1}, {5, 7, 3}, {8, 16, 8}, {64, 48, 24}, {66, 48, 24},
 		{67, 38, 24}, {127, 24, 48}, {304, 48, 24}, {130, 38, 24},
+		{9, 600, 512}, {33, 520, 520},
+	}
+	paths := []bool{false}
+	if useAVX2 {
+		paths = []bool{true, false}
 	}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		a := withZeros(Randn(m, k, 1, rng), 0.3, rng)
 		b := Randn(k, n, 1, rng)
-		got := New(m, n)
-		MatMulInto(got, a, b)
 		want := New(m, n)
 		matMulRef(want, a, b)
-		if d := bitwiseDiff(got, want); d >= 0 {
-			t.Fatalf("%dx%dx%d: elem %d differs: got %v want %v", m, k, n, d, got.Data[d], want.Data[d])
-		}
-	}
-}
-
-// TestMatMulBlockedBitwiseRefWithinPanel pins the packed kernel's contract
-// for K ≤ blockKc: one Kc panel means no regrouping, so the blocked result
-// is bitwise-identical to the reference, edge tiles included.
-func TestMatMulBlockedBitwiseRefWithinPanel(t *testing.T) {
-	rng := mathx.NewRNG(12)
-	shapes := [][3]int{
-		{3, 5, 2}, {64, 256, 64}, {70, 200, 70}, {65, 37, 9}, {128, 256, 31},
-	}
-	for _, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
-		a := withZeros(Randn(m, k, 1, rng), 0.2, rng)
-		b := Randn(k, n, 1, rng)
-		got := New(m, n)
-		matMulBlockedRange(got, a, b, 0, m)
-		want := New(m, n)
-		matMulRef(want, a, b)
-		if d := bitwiseDiff(got, want); d >= 0 {
-			t.Fatalf("%dx%dx%d: elem %d differs: got %v want %v", m, k, n, d, got.Data[d], want.Data[d])
-		}
-	}
-}
-
-// TestMatMulBlockedULPBoundedAcrossPanels checks the K > blockKc regime:
-// accumulation regroups once per Kc panel, so results may differ from the
-// reference, but only within a tight relative bound.
-func TestMatMulBlockedULPBoundedAcrossPanels(t *testing.T) {
-	rng := mathx.NewRNG(13)
-	m, k, n := 33, 600, 31
-	a := Randn(m, k, 1, rng)
-	b := Randn(k, n, 1, rng)
-	got := New(m, n)
-	matMulBlockedRange(got, a, b, 0, m)
-	want := New(m, n)
-	matMulRef(want, a, b)
-	for i := range got.Data {
-		diff := math.Abs(got.Data[i] - want.Data[i])
-		if diff > 1e-10*(1+math.Abs(want.Data[i])) {
-			t.Fatalf("elem %d: blocked %v vs ref %v differ beyond panel-regroup bound", i, got.Data[i], want.Data[i])
+		for _, on := range paths {
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				got := New(m, n)
+				withAVX2(on, func() { MatMulInto(got, a, b) })
+				if d := bitwiseDiff(got, want); d >= 0 {
+					t.Fatalf("%dx%dx%d avx2=%v procs=%d: elem %d differs: got %v want %v",
+						m, k, n, on, procs, d, got.Data[d], want.Data[d])
+				}
+			}
 		}
 	}
 }
@@ -210,30 +183,6 @@ func TestMatMulTransABitwiseMatchesRef(t *testing.T) {
 			t.Fatalf("(%dx%d)ᵀ@%dx%d: elem %d differs", m, k, m, n, d)
 		}
 	}
-}
-
-// TestMatMulSparseABitwiseMatchesDense pins that the explicit sparse entry
-// point computes the same product as the dense path for finite inputs.
-func TestMatMulSparseABitwiseMatchesDense(t *testing.T) {
-	rng := mathx.NewRNG(16)
-	a := withZeros(Randn(90, 40, 1, rng), 0.8, rng)
-	b := Randn(40, 24, 1, rng)
-	dense := New(90, 24)
-	MatMulInto(dense, a, b)
-	sparse := New(90, 24)
-	MatMulSparseAInto(sparse, a, b)
-	if d := bitwiseDiff(dense, sparse); d >= 0 {
-		t.Fatalf("sparse and dense paths differ at elem %d", d)
-	}
-}
-
-func TestMatMulSparseAShapePanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected shape panic")
-		}
-	}()
-	MatMulSparseAInto(New(2, 2), New(2, 3), New(2, 3))
 }
 
 // TestMatMulParallelSerialBitwiseAtCrossover forces multiple workers and
@@ -347,7 +296,7 @@ func benchMM(b *testing.B, kernel func(dst, a, bb *Matrix), shapes [][3]int) {
 
 // benchShapes are m×k×n triples: the two hottest products of a traced
 // train-tgat run (the sampler mixer's 11250×73×73 and TGAT's 49500×48×24),
-// smaller per-batch projections, and the unpacked and packed square regimes.
+// smaller per-batch projections, and two square products.
 var benchShapes = [][3]int{
 	{11250, 73, 73}, {49500, 48, 24},
 	{1504, 38, 24}, {1504, 24, 48}, {304, 48, 24}, {256, 256, 256}, {512, 512, 512},

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -158,15 +159,17 @@ func TestMatMulMatchesNaiveProperty(t *testing.T) {
 }
 
 func TestMatMulParallelMatchesSerial(t *testing.T) {
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
 	rng := mathx.NewRNG(4)
 	// Large enough to cross parallelThreshold.
 	a := Randn(128, 64, 1, rng)
 	b := Randn(64, 96, 1, rng)
 	got := MatMul(a, b)
 	want := New(128, 96)
-	matMulBlockedRange(want, a, b, 0, 128)
-	if !got.Equal(want, 1e-12) {
-		t.Fatal("parallel and serial matmul disagree")
+	matMulRef(want, a, b)
+	if d := bitwiseDiff(got, want); d >= 0 {
+		t.Fatalf("parallel matmul differs from the serial reference at elem %d", d)
 	}
 }
 

@@ -66,11 +66,8 @@ func (d *recordDecoder) next() (Record, error) {
 		return Record{}, ErrTorn
 	}
 	need := payload + 4
-	if cap(d.scratch) < need {
-		d.scratch = make([]byte, need)
-	}
-	body := d.scratch[:need]
-	if _, err := io.ReadFull(d.r, body); err != nil {
+	body, err := d.readBody(need)
+	if err != nil {
 		return Record{}, ErrTorn
 	}
 	want := binary.LittleEndian.Uint32(body[payload:])
@@ -95,6 +92,33 @@ func (d *recordDecoder) next() (Record, error) {
 	}
 	d.off += int64(need + 4)
 	return rec, nil
+}
+
+// bodyChunk is the first read of a frame body that outgrows the decoder's
+// scratch; larger bodies grow it by doubling as their bytes arrive.
+const bodyChunk = 4 << 10
+
+// readBody reads a frame's n payload and checksum bytes into d.scratch. The
+// buffer grows only as bytes arrive, so a torn frame whose length prefix
+// claims megabytes costs memory in proportion to the bytes actually there,
+// not to the claim.
+func (d *recordDecoder) readBody(n int) ([]byte, error) {
+	buf := d.scratch[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, max(2*cap(buf), bodyChunk)))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(d.r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			d.scratch = buf
+			return nil, err
+		}
+	}
+	d.scratch = buf
+	return buf, nil
 }
 
 // StreamReader decodes AppendRecord-framed records from an arbitrary byte
